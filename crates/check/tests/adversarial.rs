@@ -23,7 +23,7 @@ use nazar_detect::{
     OutlierExposure, SslRotation, StreamDetector, StreamingDdm, StreamingEddm, StreamingKs,
     StreamingMmd, StreamingMsp, StreamingPsi,
 };
-use nazar_device::{DeviceConfig, Fleet, UploadedSample, WindowStats, LOG_SCHEMA};
+use nazar_device::{DeviceConfig, FleetSim, UploadedSample, WindowStats, LOG_SCHEMA};
 use nazar_log::{DriftLog, DriftLogEntry};
 use nazar_nn::{entropy_of_logits, BnPatch, MlpResNet, ModelArch, NnError};
 use nazar_registry::{ModelPool, VersionMeta};
@@ -517,7 +517,7 @@ fn non_finite_patches_are_rejected_before_touching_a_model() {
 #[test]
 fn empty_fleet_windows_produce_identity_statistics() {
     let fleet_model = model();
-    let mut fleet = Fleet::from_streams(&[], &fleet_model, &DeviceConfig::default());
+    let mut fleet = FleetSim::from_streams(&[], &fleet_model, &DeviceConfig::default());
     let mut rng = SmallRng::seed_from_u64(4);
     let out = fleet.process_window(&[], 0, 8, &mut rng);
     assert_eq!(out.stats, WindowStats::default());

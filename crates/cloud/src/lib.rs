@@ -6,7 +6,7 @@
 //! in-process:
 //!
 //! 1. devices replay a time window and ship drift-log entries + sampled
-//!    inputs ([`nazar_device::Fleet::process_window`]);
+//!    inputs ([`nazar_device::FleetSim::process_window`]);
 //! 2. the [`Orchestrator`] ingests the entries, runs the root-cause analysis
 //!    pipeline ([`nazar_analysis::analyze_variant`]);
 //! 3. for each discovered cause it gathers the matching sampled inputs,
@@ -23,12 +23,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backend;
 pub mod experiment;
 mod orchestrator;
 pub mod timing;
 
-pub use backend::{FleetBackend, SchedulerMode};
 pub use orchestrator::{
     sanitize_uploads, AlertIndexError, CloudConfig, DriftAlert, OperationMode, Orchestrator,
     RunResult, Strategy,

@@ -1,9 +1,8 @@
 //! The windowed monitor → analyze → adapt → deploy loop.
 
-use crate::backend::{FleetBackend, SchedulerMode};
 use nazar_adapt::{adapt_to_patch, AdaptMethod};
 use nazar_analysis::{analyze_variant_with, AnalysisVariant, FimAlgorithm, FimConfig, RankedCause};
-use nazar_device::{DeviceConfig, UploadedSample, WindowStats, LOG_SCHEMA};
+use nazar_device::{DeviceConfig, FleetSim, UploadedSample, WindowStats, LOG_SCHEMA};
 use nazar_log::{DriftLog, DriftLogEntry};
 use nazar_net::{Exchange, NetConfig, NetReport};
 use nazar_nn::MlpResNet;
@@ -147,12 +146,6 @@ pub struct CloudConfig {
     /// [`DriftLog::retain_last`], which drops whole head index segments.
     #[serde(default)]
     pub log_retention: Option<usize>,
-    /// Which fleet engine runs the devices: the event-driven virtual-time
-    /// scheduler (default) or the legacy lockstep window sweep. The two are
-    /// bitwise equivalent (golden-trace pinned); lockstep survives as the
-    /// differential oracle.
-    #[serde(default)]
-    pub scheduler: SchedulerMode,
     /// Durable drift-log persistence. `Some` mirrors every ingested entry
     /// into a [`DriftStore`] (re-opened at startup, so history survives
     /// orchestrator restarts) and flushes sealed chunks at each window
@@ -181,7 +174,6 @@ impl Default for CloudConfig {
             algorithm: FimAlgorithm::default(),
             net: Some(NetConfig::from_env()),
             log_retention: None,
-            scheduler: SchedulerMode::default(),
             persist: StoreConfig::from_env(),
         }
     }
@@ -325,7 +317,7 @@ pub struct Orchestrator {
     /// The continuously-adapted model used by the adapt-all baseline and the
     /// optional clean fallback of Nazar.
     rolling_model: MlpResNet,
-    fleet: FleetBackend,
+    fleet: FleetSim,
     /// Cumulative drift log (all windows), as the paper's Aurora table.
     drift_log: DriftLog,
     rng: SmallRng,
@@ -352,8 +344,7 @@ impl Orchestrator {
         strategy: Strategy,
         config: CloudConfig,
     ) -> Self {
-        let fleet =
-            FleetBackend::from_streams(config.scheduler, streams, &base_model, &config.device);
+        let fleet = FleetSim::from_streams(streams, &base_model, &config.device);
         let mut sizer = base_model.clone();
         let model_scalars = sizer.num_params() as u64;
         let exchange = config
@@ -593,14 +584,9 @@ impl Orchestrator {
                 // Second snapshot per window, after the cloud side (ingest,
                 // analysis, adaptation, deploy) has run — captures the
                 // metrics the window_close snapshot can't see. Stamped with
-                // the fleet clock; the lockstep engine has no clock (always
-                // 0), so fall back to the window's day boundary.
-                let (_, end_day) = nazar_data::SimDate::window_range(w, self.config.windows);
-                let t_us = self
-                    .fleet
-                    .clock_us()
-                    .max(u64::from(end_day) * nazar_device::DAY_US);
-                nazar_obs::telemetry::snapshot(t_us, "window_complete");
+                // the fleet clock, which the window close moved to (or past)
+                // the window's day boundary.
+                nazar_obs::telemetry::snapshot(self.fleet.clock_us(), "window_complete");
             }
             result
                 .causes_per_window

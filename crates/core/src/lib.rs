@@ -55,14 +55,14 @@ pub mod prelude {
     };
     pub use nazar_cloud::experiment::{run_all_strategies, run_strategy, train_base_model};
     pub use nazar_cloud::{
-        CloudConfig, DriftAlert, OperationMode, Orchestrator, RunResult, SchedulerMode, Strategy,
+        CloudConfig, DriftAlert, OperationMode, Orchestrator, RunResult, Strategy,
     };
     pub use nazar_data::{
         AnimalsConfig, AnimalsDataset, CityscapesConfig, CityscapesDataset, Corruption, LabeledSet,
         Severity, SimDate, StreamItem, TextConfig, TextDataset, Weather, WeatherModel,
     };
     pub use nazar_detect::{DetectorKind, DriftDetector, KsTestDetector, MspThreshold};
-    pub use nazar_device::{Device, DeviceConfig, Fleet, WindowStats};
+    pub use nazar_device::{Device, DeviceConfig, FleetSim, WindowStats};
     pub use nazar_log::{Attribute, DriftLog, DriftLogEntry};
     pub use nazar_nn::{BnPatch, MlpResNet, ModelArch};
     pub use nazar_registry::{ModelPool, VersionMeta};

@@ -19,9 +19,9 @@
 //!
 //! All state machines are plain sequential `f64`/`f32` arithmetic with no
 //! internal parallelism or wall-clock inputs, so verdicts are bitwise
-//! reproducible across `NAZAR_NUM_THREADS` settings and across the lockstep
-//! and event-driven fleet engines (which thread this state identically to
-//! the per-device RNG).
+//! reproducible across `NAZAR_NUM_THREADS` settings and between a whole
+//! `Device` and the event-driven fleet (which threads this state through
+//! its batch jobs like the per-device RNG).
 //!
 //! Zoo activity is observable through the self-gated `nazar_detect_*`
 //! counters (observations, alarms, reference fits — labeled per detector).

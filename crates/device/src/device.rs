@@ -208,7 +208,7 @@ impl Device {
 /// serves both the prediction and the MSP detector — the reason the paper
 /// picks this detector ("the logit scores are computed by the inference
 /// anyways"). Shared by [`Device::process`] and the event-driven scheduler
-/// so the two fleet paths stay bitwise identical.
+/// so the two stay bitwise identical.
 pub(crate) fn forward_item(model: &mut MlpResNet, item: &StreamItem) -> (usize, f32) {
     let x = Tensor::from_vec(item.features.clone(), &[1, item.features.len()])
         .expect("one feature row");
@@ -232,9 +232,9 @@ pub(crate) fn forward_item_quant(quant: &QuantizedMlp, item: &StreamItem) -> (us
 
 /// The emission half of the on-device loop: drift-log entry and the sampled
 /// upload (one RNG draw per item). The drift verdict is computed by the
-/// caller's [`StreamDetector`] — detector state is per-device and must live
-/// with the device (lockstep) or be threaded through the batch job
-/// (event-driven scheduler). `seq` is the device's entry sequence number
+/// caller's [`StreamDetector`] — detector state is per-device and lives
+/// with the [`Device`] or is threaded through the event-driven scheduler's
+/// batch jobs. `seq` is the device's entry sequence number
 /// *after* incrementing for this item. Shared by [`Device::process`] and
 /// the event-driven scheduler.
 pub(crate) fn emit_outputs<R: Rng + ?Sized>(

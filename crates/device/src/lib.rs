@@ -14,23 +14,23 @@
 //! 5. **sample** a configurable fraction of raw inputs for upload to the
 //!    cloud (the data by-cause adaptation trains on).
 //!
-//! A [`Fleet`] replays pre-generated [`nazar_data::StreamItem`]s through
-//! many devices
-//! and aggregates accuracy statistics per window — the measurement loop
-//! behind every end-to-end figure (Fig. 8 / 9).
+//! [`FleetSim`] replays pre-generated [`nazar_data::StreamItem`]s through
+//! many devices as an event-driven simulation on a virtual clock and
+//! aggregates accuracy statistics per window — the measurement loop behind
+//! every end-to-end figure (Fig. 8 / 9).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod device;
-mod fleet;
 mod scheduler;
 mod state;
+mod window;
 
 pub use device::{Device, DeviceConfig, DeviceOutput, UploadedSample};
-pub use fleet::{Fleet, WindowOutput, WindowStats};
 pub use scheduler::{peak_rss_bytes, FleetSim, TraceEvent, DAY_US};
 pub use state::{DevicePools, FleetState, PoolSlot, CONF_HISTORY};
+pub use window::{WindowOutput, WindowStats};
 
 use nazar_log::Attribute;
 

@@ -1,10 +1,8 @@
-//! Event-driven virtual-time fleet scheduler (ISSUE 6 tentpole).
+//! Event-driven virtual-time fleet scheduler.
 //!
-//! [`crate::Fleet`] steps every device in lockstep once per window, which is
-//! faithful to the paper's evaluation loop but caps single-process fleets at
-//! tens of thousands of devices (one boxed [`crate::Device`] each, one model
-//! clone each). [`FleetSim`] replays the *same* workload as a discrete-event
-//! simulation on the `nazar-net` virtual-microsecond timeline:
+//! [`FleetSim`] replays the fleet's streams window by window as a
+//! discrete-event simulation on the `nazar-net` virtual-microsecond
+//! timeline:
 //!
 //! * a central binary-heap event queue carries **sample-arrival**,
 //!   **detect**, **upload-flush**, **deploy-receipt** and **window-close**
@@ -23,16 +21,15 @@
 //!   chunk; per-device outcomes are merged back in ascending device order,
 //!   which keeps results independent of thread count and scheduling.
 //!
-//! The golden trace (`tests/golden_trace.rs`) pins that a full
-//! orchestrator run through [`FleetSim`] is *identical* to the lockstep
-//! [`crate::Fleet`] path, and the proptests in
-//! `tests/scheduler_determinism.rs` pin event-order and output determinism
-//! across thread counts.
+//! The proptests in `tests/scheduler_determinism.rs` pin event-order and
+//! output determinism across thread counts, and pin every window's output
+//! bit-for-bit to a sequential reference of whole [`crate::Device`]s that
+//! follows the seeding contract on [`FleetSim::process_window_parts`].
 
 use crate::device::{emit_outputs, forward_item, forward_item_quant, DeviceConfig, DeviceOutput};
-use crate::fleet::{record_stats, tally, WindowOutput};
 use crate::item_attributes;
 use crate::state::{DevicePools, FleetState};
+use crate::window::{record_stats, tally, WindowOutput};
 use nazar_data::{LocationStream, SimDate, StreamItem};
 use nazar_detect::StreamDetector;
 use nazar_nn::{BnPatch, MlpResNet, QuantMode, QuantizedMlp};
@@ -336,8 +333,8 @@ struct InstallMemo {
     version: u32,
 }
 
-/// The event-driven fleet: drop-in replacement for [`crate::Fleet`] that
-/// scales to 1M+ devices (see the module docs).
+/// The simulated device fleet, one device per distinct id; scales to 1M+
+/// devices (see the module docs).
 #[derive(Debug)]
 pub struct FleetSim {
     state: FleetState,
@@ -400,8 +397,8 @@ impl FleetSim {
         }
     }
 
-    /// Builds one device per distinct device id in `streams`, mirroring
-    /// [`crate::Fleet::from_streams`].
+    /// Builds one device per distinct device id in `streams`, each located
+    /// where its id first appears.
     pub fn from_streams(
         streams: &[LocationStream],
         base_model: &MlpResNet,
@@ -517,8 +514,7 @@ impl FleetSim {
     }
 
     /// Drains pending deploy receipts. Install paths pump synchronously so
-    /// the cloud's next `max_versions()` read observes the deployment, the
-    /// contract the lockstep [`crate::Fleet`] provides implicitly.
+    /// the cloud's next `max_versions()` read observes the deployment.
     fn pump(&mut self) {
         while let Some(ev) = self.heap.pop() {
             self.record_pop(&ev);
@@ -569,8 +565,9 @@ impl FleetSim {
         true
     }
 
-    /// The devices a version's cause can ever match, sorted by id
-    /// (see [`crate::Fleet::target_ids`]).
+    /// The devices a version's cause can ever match, sorted by id: if the
+    /// cause names a `location` or `device_id`, other devices never select
+    /// the version (see [`FleetState::target_indices`]).
     pub fn target_ids(&self, meta: &VersionMeta) -> Vec<String> {
         self.state
             .target_indices(meta)
@@ -597,7 +594,7 @@ impl FleetSim {
     }
 
     /// Replays window `w` of `windows` through the event queue and merges
-    /// the per-device parts, mirroring [`crate::Fleet::process_window`].
+    /// the per-device parts of [`FleetSim::process_window_parts`] in order.
     pub fn process_window<R: Rng + ?Sized>(
         &mut self,
         streams: &[LocationStream],
@@ -616,8 +613,17 @@ impl FleetSim {
     }
 
     /// Replays window `w` of `windows`, returning each participating
-    /// device's output separately, sorted by device id — byte-identical to
-    /// [`crate::Fleet::process_window_parts`] for the same seed.
+    /// device's output separately, sorted by device id (the shape the
+    /// transport needs: every device uploads its own batch).
+    ///
+    /// Seeding contract: every device with items in the window draws one
+    /// `SmallRng` seed from `rng` (`next_u64`), in sorted-id order, and
+    /// then processes its own items in stream order exactly as
+    /// [`crate::Device::process`] would — one selection, forward pass,
+    /// detector observation and upload draw per item. The output is
+    /// therefore a pure function of the streams, the deployments so far
+    /// and `rng`, independent of worker count; `tests/scheduler_determinism.rs`
+    /// checks it against a sequential reference of whole `Device`s.
     pub fn process_window_parts<R: Rng + ?Sized>(
         &mut self,
         streams: &[LocationStream],
@@ -640,8 +646,7 @@ impl FleetSim {
         let _span = nazar_obs::span_detail("detect", || format!("w={w} scheduler=event"));
         self.depth_watermark = self.heap.len();
 
-        // Item table and per-device item lists, in stream order — the same
-        // grouping the lockstep path builds.
+        // Item table and per-device item lists, in stream order.
         let mut items: Vec<&StreamItem> = Vec::new();
         let mut participants: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
         for stream in streams {
@@ -657,7 +662,7 @@ impl FleetSim {
         }
 
         // One dedicated RNG per participating device, drawn from `rng` in
-        // sorted device order — the lockstep path's exact seeding contract.
+        // sorted device order (the seeding contract above).
         let mut rngs: BTreeMap<u32, Option<SmallRng>> = BTreeMap::new();
         for &d in participants.keys() {
             rngs.insert(d, Some(SmallRng::seed_from_u64(rng.next_u64())));
@@ -915,8 +920,8 @@ fn run_chunk(chunk: Chunk, ctx: &BatchCtx<'_>) -> (usize, Vec<JobResult>, Scratc
                     let attrs = item_attributes(it);
                     res.seq += 1;
                     // Detect events pop in item order per device, so the
-                    // streaming detector observes the same MSP sequence as
-                    // the lockstep device.
+                    // streaming detector observes the device's MSPs in
+                    // stream order.
                     let drift = res.detector.observe(msp);
                     let (entry, sample) = emit_outputs(
                         it,
@@ -950,7 +955,6 @@ fn run_chunk(chunk: Chunk, ctx: &BatchCtx<'_>) -> (usize, Vec<JobResult>, Scratc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::Fleet;
     use nazar_data::{AnimalsConfig, AnimalsDataset};
     use nazar_log::Attribute;
     use nazar_nn::{Mode, ModelArch};
@@ -976,57 +980,35 @@ mod tests {
         BnPatch::extract(&mut donor)
     }
 
-    /// The core tentpole contract: the event-driven fleet reproduces the
-    /// lockstep fleet bit-for-bit across windows and deployments.
     #[test]
-    fn event_fleet_matches_lockstep_across_windows_and_deploys() {
+    fn window_covers_every_item_with_one_device_per_id() {
         let (data, model) = small_world();
-        let config = DeviceConfig::default();
-        let mut lockstep = Fleet::from_streams(&data.streams, &model, &config);
-        let mut event = FleetSim::from_streams(&data.streams, &model, &config);
-        assert_eq!(lockstep.len(), event.len());
-        assert_eq!(lockstep.device_ids(), event.device_ids());
+        let mut sim = FleetSim::from_streams(&data.streams, &model, &DeviceConfig::default());
+        let ids: std::collections::BTreeSet<&str> = data
+            .streams
+            .iter()
+            .flat_map(|s| s.items.iter().map(|item| item.device_id.as_str()))
+            .collect();
+        assert_eq!(sim.len(), ids.len(), "one device per distinct id");
 
-        let windows = 4;
-        let dim = data.streams[0].items[0].features.len();
-        let classes = 6; // AnimalsConfig::small() class count
-        let mut rng_a = SmallRng::seed_from_u64(42);
-        let mut rng_b = SmallRng::seed_from_u64(42);
-        for w in 0..windows {
-            let a = lockstep.process_window_parts(&data.streams, w, windows, &mut rng_a);
-            let b = event.process_window_parts(&data.streams, w, windows, &mut rng_b);
-            assert_eq!(a.len(), b.len(), "window {w}: participant count");
-            for ((id_a, part_a), (id_b, part_b)) in a.iter().zip(&b) {
-                assert_eq!(id_a, id_b, "window {w}: device order");
-                assert_eq!(part_a, part_b, "window {w}: output of {id_a}");
-            }
-            // Interleave deployments exactly as the orchestrator does:
-            // broadcast one window, target the next.
-            let patch = donor_patch(dim, classes, w as u64);
-            if w % 2 == 0 {
-                let meta =
-                    VersionMeta::new(vec![Attribute::new("weather", "snow")], 2.0 + w as f64);
-                lockstep.deploy(&meta, &patch);
-                event.deploy(&meta, &patch);
-            } else {
-                let location = data.streams[0].location.clone();
-                let meta = VersionMeta::new(
-                    vec![
-                        Attribute::new("weather", "fog"),
-                        Attribute::new("location", location),
-                    ],
-                    1.0 + w as f64,
-                );
-                let na = lockstep.deploy_targeted(&meta, &patch);
-                let nb = event.deploy_targeted(&meta, &patch);
-                assert_eq!(na, nb, "window {w}: targeted install count");
-            }
-            assert_eq!(
-                lockstep.max_versions(),
-                event.max_versions(),
-                "window {w}: max stored versions"
-            );
-        }
+        let expected: usize = data
+            .streams
+            .iter()
+            .map(|s| s.window_items(0, 8).count())
+            .sum();
+        let out = sim.process_window(&data.streams, 0, 8, &mut SmallRng::seed_from_u64(1));
+        assert_eq!(out.stats.total, expected);
+        assert_eq!(out.entries.len(), expected);
+        assert!(out.stats.correct <= out.stats.total);
+        assert!(out.stats.drifted_correct <= out.stats.drifted_total);
+        // Confusion counts partition consistently.
+        assert!(out.stats.false_positives <= out.stats.flagged);
+        let true_positives = out.stats.flagged - out.stats.false_positives;
+        assert_eq!(
+            true_positives + out.stats.misses,
+            out.stats.drifted_total,
+            "drifted inputs split into caught + missed"
+        );
     }
 
     #[test]
@@ -1037,6 +1019,7 @@ mod tests {
         let patch = donor_patch(dim, 6, 7);
         let meta = VersionMeta::new(vec![Attribute::new("weather", "snow")], 2.0);
         event.deploy(&meta, &patch);
+        assert!((0..event.len()).all(|d| event.pools.len_of(d) == 1));
         assert_eq!(event.max_versions(), 1);
         assert_eq!(
             event.arena_versions(),

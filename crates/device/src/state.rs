@@ -1,9 +1,9 @@
 //! Struct-of-arrays device state for million-device fleets.
 //!
-//! [`crate::Fleet`] keeps one boxed [`crate::Device`] per device — a model
-//! clone, a payload-owning [`nazar_registry::ModelPool`], strings — which
-//! caps a single-process simulation at tens of thousands of devices. The
-//! event-driven scheduler ([`crate::FleetSim`]) instead keeps *columns*:
+//! One boxed [`crate::Device`] per device — a model clone, a payload-owning
+//! [`nazar_registry::ModelPool`], strings — would cap a single-process
+//! simulation at tens of thousands of devices. The event-driven scheduler
+//! ([`crate::FleetSim`]) instead keeps *columns*:
 //!
 //! * [`FleetState`] — parallel per-device columns (sorted ids, interned
 //!   location codes, entry sequence numbers, a fixed-depth confidence
@@ -50,8 +50,7 @@ pub struct FleetState {
 
 impl FleetState {
     /// Builds the columns for `devices` (`(id, location)` pairs). Duplicate
-    /// ids keep the first occurrence's location, mirroring
-    /// [`crate::Fleet::from_streams`]; ids are sorted internally.
+    /// ids keep the first occurrence's location; ids are sorted internally.
     pub fn new(devices: impl IntoIterator<Item = (String, String)>) -> Self {
         let mut seen: HashMap<String, String> = HashMap::new();
         let mut ids: Vec<String> = Vec::new();
@@ -160,8 +159,8 @@ impl FleetState {
     }
 
     /// Device indices a version's cause can ever match (ascending): a cause
-    /// naming a `location` or `device_id` only matches those devices —
-    /// the column-level twin of [`crate::Fleet::target_ids`].
+    /// naming a `location` or `device_id` only matches those devices, so
+    /// shipping it elsewhere wastes network and pool slots.
     pub fn target_indices(&self, meta: &VersionMeta) -> Vec<usize> {
         let location = meta.attrs.iter().find(|a| a.key == "location");
         let device_id = meta.attrs.iter().find(|a| a.key == "device_id");
@@ -370,7 +369,7 @@ mod tests {
         assert_eq!(state.ids(), ["a-dev", "b-dev"]);
         assert_eq!(state.index_of("b-dev"), Some(1));
         assert_eq!(state.index_of("zzz"), None);
-        // First occurrence's location wins, as in `Fleet::from_streams`.
+        // First occurrence's location wins.
         assert_eq!(state.location(1), "boston");
     }
 

@@ -1,22 +1,29 @@
-//! Property tests for the event-driven scheduler's determinism contract
-//! (ISSUE 6 satellite): for any randomized stream shape and seed, the
-//! event pop order and the fleet output are identical at every worker
-//! count, and the event engine reproduces the lockstep engine bit-for-bit.
+//! Property tests for the fleet scheduler's determinism contract: for any
+//! randomized stream shape and seed, the event pop order and the fleet
+//! output are identical at every worker count, and every window equals a
+//! sequential reference built from whole [`Device`]s.
 //!
-//! The unit tests in `src/scheduler.rs` pin these properties on one fixed
-//! dataset; here proptest varies the device set, arrival days, labels and
-//! weather mix, the RNG seed, the worker count, and whether a broadcast
-//! deployment lands between windows.
+//! The reference follows the seeding contract documented on
+//! [`FleetSim::process_window_parts`] and nothing else: one `SmallRng` seed
+//! per participating device drawn in sorted-id order, then
+//! [`Device::process`] over that device's items in stream order. It has no
+//! event queue, no struct-of-arrays state, no version arena and no worker
+//! pool, so agreement pins all of those — including how `FleetSim` checks
+//! the stateful zoo detectors out into batch jobs and merges them back —
+//! for every [`DetectorKind`], f32 and i8 inference, and no, broadcast or
+//! location-targeted deployments between windows.
 
 use nazar_data::{LocationStream, Severity, SimDate, StreamItem, Weather};
-use nazar_device::{DeviceConfig, Fleet, FleetSim};
+use nazar_detect::DetectorKind;
+use nazar_device::{Device, DeviceConfig, DeviceOutput, FleetSim, WindowOutput};
 use nazar_log::Attribute;
 use nazar_nn::{BnPatch, MlpResNet, Mode, ModelArch, QuantMode};
 use nazar_registry::VersionMeta;
 use nazar_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
+use std::collections::BTreeMap;
 
 const DIM: usize = 6;
 const CLASSES: usize = 4;
@@ -31,11 +38,14 @@ fn device_id(device: usize) -> String {
     format!("loc-{}-dev{device:02}", device % LOCATIONS)
 }
 
-/// Deterministic features — proptest varies the stream *shape*; giving it
-/// the float values too only slows case generation without adding coverage.
-fn features(device: usize, day: u16) -> Vec<f32> {
+/// Deterministic features, shifted on drifting weather so the statistical
+/// detectors see a distribution change — proptest varies the stream
+/// *shape*; giving it the float values too only slows case generation
+/// without adding coverage.
+fn features(device: usize, day: u16, weather: Weather) -> Vec<f32> {
+    let shift = if weather.is_drifting() { 1.5 } else { 0.0 };
     (0..DIM)
-        .map(|j| ((device * 31 + j * 7 + day as usize * 13) % 89) as f32 / 89.0 - 0.5)
+        .map(|j| ((device * 31 + j * 7 + day as usize * 13) % 89) as f32 / 89.0 - 0.5 + shift)
         .collect()
 }
 
@@ -52,7 +62,7 @@ fn streams_from(raw: &[(usize, u16, usize, usize)]) -> Vec<LocationStream> {
         let weather = [Weather::Clear, Weather::Rain, Weather::Snow, Weather::Fog][w % 4];
         let day = day % SimDate::TOTAL_DAYS;
         streams[d % LOCATIONS].items.push(StreamItem {
-            features: features(d, day),
+            features: features(d, day, weather),
             label: label % CLASSES,
             date: SimDate::new(day),
             location: location_of(d),
@@ -84,12 +94,197 @@ fn donor_patch(seed: u64) -> BnPatch {
     BnPatch::extract(&mut donor)
 }
 
+/// The deployment that lands between the two windows.
+#[derive(Debug, Clone, Copy)]
+enum Deploy {
+    None,
+    Broadcast,
+    /// Targeted at the first stream's location, through
+    /// [`FleetSim::deploy_targeted`].
+    TargetedByLocation,
+}
+
+const DEPLOYS: [Deploy; 3] = [Deploy::None, Deploy::Broadcast, Deploy::TargetedByLocation];
+
+fn deploy_meta(deploy: Deploy) -> Option<VersionMeta> {
+    match deploy {
+        Deploy::None => None,
+        Deploy::Broadcast => Some(VersionMeta::new(
+            vec![Attribute::new("weather", "fog")],
+            1.5,
+        )),
+        Deploy::TargetedByLocation => Some(VersionMeta::new(
+            vec![
+                Attribute::new("weather", "snow"),
+                Attribute::new("location", location_of(0)),
+            ],
+            2.0,
+        )),
+    }
+}
+
+/// Applies `deploy` to the fleet; returns how many devices received it.
+fn deploy_to(sim: &mut FleetSim, deploy: Deploy, patch: &BnPatch) -> usize {
+    match (deploy, deploy_meta(deploy)) {
+        (Deploy::Broadcast, Some(meta)) => {
+            sim.deploy(&meta, patch);
+            sim.len()
+        }
+        (Deploy::TargetedByLocation, Some(meta)) => sim.deploy_targeted(&meta, patch),
+        _ => 0,
+    }
+}
+
+/// The sequential reference fleet: whole [`Device`]s keyed by id.
+struct Reference {
+    devices: BTreeMap<String, Device>,
+}
+
+impl Reference {
+    fn from_streams(streams: &[LocationStream], model: &MlpResNet, config: &DeviceConfig) -> Self {
+        let mut devices = BTreeMap::new();
+        for item in streams.iter().flat_map(|s| &s.items) {
+            devices.entry(item.device_id.clone()).or_insert_with(|| {
+                Device::new(
+                    item.device_id.clone(),
+                    item.location.clone(),
+                    model.clone(),
+                    config.clone(),
+                )
+            });
+        }
+        Reference { devices }
+    }
+
+    /// The seeding contract: one seed per participating device in sorted-id
+    /// order, then each device's items in stream order.
+    fn process_window_parts(
+        &mut self,
+        streams: &[LocationStream],
+        w: usize,
+        rng: &mut SmallRng,
+    ) -> Vec<(String, WindowOutput)> {
+        let mut per_device: BTreeMap<&str, Vec<&StreamItem>> = BTreeMap::new();
+        for item in streams.iter().flat_map(|s| s.window_items(w, WINDOWS)) {
+            per_device.entry(&item.device_id).or_default().push(item);
+        }
+        let mut parts = Vec::new();
+        for (id, items) in per_device {
+            let mut device_rng = SmallRng::seed_from_u64(rng.next_u64());
+            let device = self.devices.get_mut(id).expect("one device per id");
+            let mut part = WindowOutput::default();
+            for item in items {
+                let out = device.process(item, &mut device_rng);
+                tally(&mut part, item, out);
+            }
+            parts.push((id.to_string(), part));
+        }
+        parts
+    }
+
+    /// Installs on every device whose location and id match the version's
+    /// `location`/`device_id` attributes (all devices when it names none).
+    fn deploy(&mut self, deploy: Deploy, patch: &BnPatch) -> usize {
+        let Some(meta) = deploy_meta(deploy) else {
+            return 0;
+        };
+        let matches =
+            |key: &str, value: &str| meta.attrs.iter().all(|a| a.key != key || a.value == value);
+        let mut installed = 0;
+        for device in self.devices.values_mut() {
+            if matches("location", device.location()) && matches("device_id", device.id()) {
+                device.install(meta.clone(), patch.clone());
+                installed += 1;
+            }
+        }
+        installed
+    }
+
+    fn max_versions(&self) -> usize {
+        self.devices
+            .values()
+            .map(Device::num_versions)
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// Folds one processed item into a window output.
+fn tally(part: &mut WindowOutput, item: &StreamItem, out: DeviceOutput) {
+    let stats = &mut part.stats;
+    let (drift, correct) = (out.entry.drift, usize::from(out.correct));
+    stats.total += 1;
+    stats.correct += correct;
+    stats.flagged += usize::from(drift);
+    stats.false_positives += usize::from(drift && item.true_cause.is_none());
+    stats.misses += usize::from(!drift && item.true_cause.is_some());
+    if let Some(cause) = item.true_cause {
+        stats.drifted_total += 1;
+        stats.drifted_correct += correct;
+        let e = stats.per_cause.entry(cause.name().to_string()).or_default();
+        e.0 += correct;
+        e.1 += 1;
+    }
+    part.entries.push(out.entry);
+    part.uploads.extend(out.sample);
+}
+
+/// Runs `FleetSim` and the reference side by side over both windows, for
+/// every detector kind and deployment, and fails on the first difference.
+fn check_against_reference(
+    seed: u64,
+    raw: &[(usize, u16, usize, usize)],
+    threshold: f32,
+    quant: QuantMode,
+) -> Result<(), TestCaseError> {
+    let streams = streams_from(raw);
+    let model = base_model();
+    let patch = donor_patch(seed ^ 1);
+    for detector in DetectorKind::ALL {
+        for deploy in DEPLOYS {
+            let config = DeviceConfig {
+                detector,
+                detection_threshold: threshold,
+                quant,
+                ..DeviceConfig::default()
+            };
+            let mut sim = FleetSim::from_streams(&streams, &model, &config);
+            let mut reference = Reference::from_streams(&streams, &model, &config);
+            let ids: Vec<String> = reference.devices.keys().cloned().collect();
+            prop_assert_eq!(sim.device_ids(), ids);
+
+            let mut rng_sim = SmallRng::seed_from_u64(seed);
+            let mut rng_ref = SmallRng::seed_from_u64(seed);
+            for w in 0..WINDOWS {
+                let got = sim.process_window_parts(&streams, w, WINDOWS, &mut rng_sim);
+                let want = reference.process_window_parts(&streams, w, &mut rng_ref);
+                prop_assert!(
+                    got == want,
+                    "{:?}/{:?}/{:?}: window {} differs from the reference",
+                    detector,
+                    quant,
+                    deploy,
+                    w
+                );
+                if w == 0 {
+                    prop_assert_eq!(
+                        deploy_to(&mut sim, deploy, &patch),
+                        reference.deploy(deploy, &patch)
+                    );
+                }
+                prop_assert_eq!(sim.max_versions(), reference.max_versions());
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Same seed ⇒ identical event pop order *and* identical fleet output
-    /// at 1 worker vs N workers, across both windows and an optional
-    /// mid-run broadcast deployment.
+    /// at 1 worker vs N workers, across both windows, any detector kind and
+    /// any mid-run deployment.
     #[test]
     fn event_order_and_output_are_thread_invariant(
         seed in 0u64..1_000_000,
@@ -98,11 +293,15 @@ proptest! {
             (0usize..12, 0u16..SimDate::TOTAL_DAYS, 0usize..CLASSES, 0usize..4),
             1..40,
         ),
-        do_deploy in any::<bool>(),
+        detector in 0usize..DetectorKind::ALL.len(),
+        deploy in 0usize..DEPLOYS.len(),
     ) {
         let streams = streams_from(&raw);
         let model = base_model();
-        let config = DeviceConfig::default();
+        let config = DeviceConfig {
+            detector: DetectorKind::ALL[detector],
+            ..DeviceConfig::default()
+        };
         let run = |workers: usize| {
             let mut sim = FleetSim::from_streams(&streams, &model, &config);
             sim.set_trace(true);
@@ -112,10 +311,8 @@ proptest! {
                 all.push(sim.process_window_parts_with_threads(
                     &streams, w, WINDOWS, &mut rng, workers,
                 ));
-                if do_deploy && w == 0 {
-                    let meta =
-                        VersionMeta::new(vec![Attribute::new("weather", "snow")], 2.0);
-                    sim.deploy(&meta, &donor_patch(seed));
+                if w == 0 {
+                    deploy_to(&mut sim, DEPLOYS[deploy], &donor_patch(seed));
                 }
             }
             (sim.take_trace(), all, sim.clock_us())
@@ -126,75 +323,37 @@ proptest! {
         prop_assert_eq!(parts_1, parts_n);
         prop_assert_eq!(clock_1, clock_n);
     }
+}
 
-    /// The event engine reproduces the lockstep engine bit-for-bit on any
-    /// randomized stream shape (the differential the golden trace pins at
-    /// paper scale, here under proptest at unit scale).
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `FleetSim` reproduces the sequential reference bit-for-bit under f32
+    /// inference. Three devices with ~70–200 items each, so the windowed
+    /// (64 + 32 warmup) and sequential detectors get past their warmup.
     #[test]
-    fn event_engine_matches_lockstep_engine(
+    fn fleet_sim_matches_sequential_reference(
         seed in 0u64..1_000_000,
         raw in proptest::collection::vec(
-            (0usize..10, 0u16..SimDate::TOTAL_DAYS, 0usize..CLASSES, 0usize..4),
-            1..30,
+            (0usize..3, 0u16..SimDate::TOTAL_DAYS, 0usize..CLASSES, 0usize..4),
+            200..600,
         ),
-        do_deploy in any::<bool>(),
+        threshold in 0.3f32..0.95,
     ) {
-        let streams = streams_from(&raw);
-        let model = base_model();
-        let config = DeviceConfig::default();
-        let mut lockstep = Fleet::from_streams(&streams, &model, &config);
-        let mut event = FleetSim::from_streams(&streams, &model, &config);
-        prop_assert_eq!(lockstep.device_ids(), event.device_ids());
-
-        let mut rng_a = SmallRng::seed_from_u64(seed);
-        let mut rng_b = SmallRng::seed_from_u64(seed);
-        for w in 0..WINDOWS {
-            let a = lockstep.process_window_parts(&streams, w, WINDOWS, &mut rng_a);
-            let b = event.process_window_parts(&streams, w, WINDOWS, &mut rng_b);
-            prop_assert_eq!(a, b);
-            if do_deploy && w == 0 {
-                let patch = donor_patch(seed ^ 1);
-                let meta = VersionMeta::new(vec![Attribute::new("weather", "fog")], 1.5);
-                lockstep.deploy(&meta, &patch);
-                event.deploy(&meta, &patch);
-            }
-        }
-        prop_assert_eq!(lockstep.max_versions(), event.max_versions());
+        check_against_reference(seed, &raw, threshold, QuantMode::F32)?;
     }
 
-    /// The same lockstep-vs-event differential under [`QuantMode::I8`]:
-    /// both engines route detection through the quantized mirror and must
-    /// still agree bit-for-bit (PR 9 tentpole).
+    /// The same differential under [`QuantMode::I8`]: both sides route
+    /// detection through the quantized mirror.
     #[test]
-    fn engines_agree_under_i8_quantization(
+    fn fleet_sim_matches_sequential_reference_under_i8(
         seed in 0u64..1_000_000,
         raw in proptest::collection::vec(
-            (0usize..10, 0u16..SimDate::TOTAL_DAYS, 0usize..CLASSES, 0usize..4),
-            1..30,
+            (0usize..3, 0u16..SimDate::TOTAL_DAYS, 0usize..CLASSES, 0usize..4),
+            200..600,
         ),
-        do_deploy in any::<bool>(),
+        threshold in 0.3f32..0.95,
     ) {
-        let streams = streams_from(&raw);
-        let model = base_model();
-        let config = DeviceConfig {
-            quant: QuantMode::I8,
-            ..DeviceConfig::default()
-        };
-        let mut lockstep = Fleet::from_streams(&streams, &model, &config);
-        let mut event = FleetSim::from_streams(&streams, &model, &config);
-
-        let mut rng_a = SmallRng::seed_from_u64(seed);
-        let mut rng_b = SmallRng::seed_from_u64(seed);
-        for w in 0..WINDOWS {
-            let a = lockstep.process_window_parts(&streams, w, WINDOWS, &mut rng_a);
-            let b = event.process_window_parts(&streams, w, WINDOWS, &mut rng_b);
-            prop_assert_eq!(a, b);
-            if do_deploy && w == 0 {
-                let patch = donor_patch(seed ^ 1);
-                let meta = VersionMeta::new(vec![Attribute::new("weather", "fog")], 1.5);
-                lockstep.deploy(&meta, &patch);
-                event.deploy(&meta, &patch);
-            }
-        }
+        check_against_reference(seed, &raw, threshold, QuantMode::I8)?;
     }
 }

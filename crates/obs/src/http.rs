@@ -188,7 +188,7 @@ fn route(path: &str) -> (&'static str, &'static str, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::TEST_LOCK;
+    use crate::tests::test_lock;
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).expect("connect exporter");
@@ -205,7 +205,7 @@ mod tests {
 
     #[test]
     fn serves_all_routes() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _guard = test_lock();
         crate::testing::enable_memory_sink();
         static C: crate::LazyCounter =
             crate::LazyCounter::new("nazar_test_http_total", "http unit counter", &[]);

@@ -262,14 +262,21 @@ pub mod testing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
-    /// Serializes tests that toggle the global enabled flag.
-    pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
+    /// Serializes tests that touch process-global state (the enabled flag,
+    /// registry, recorder, SLO rules, live span aggregate).
+    static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Takes [`TEST_LOCK`], ignoring poison: a failing test releases the
+    /// lock poisoned, and the others must still run and report on their own.
+    pub(crate) fn test_lock() -> MutexGuard<'static, ()> {
+        TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn disabled_by_default_and_event_is_noop() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _guard = test_lock();
         testing::disable();
         assert!(!enabled());
         event!("ignored", value = 1);
@@ -279,7 +286,7 @@ mod tests {
 
     #[test]
     fn event_macro_renders_fields() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _guard = test_lock();
         testing::enable_memory_sink();
         event!("deploy", cause = "{weather=snow}", devices = 12);
         let lines = sink::memory_lines();
@@ -294,7 +301,7 @@ mod tests {
 
     #[test]
     fn finish_run_emits_tree_metrics_and_prometheus() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _guard = test_lock();
         testing::enable_memory_sink();
         {
             let _outer = span("window");

@@ -199,6 +199,9 @@ mod tests {
 
     #[test]
     fn live_aggregate_renders_sorted_json() {
+        // Spans closed by concurrently running tests land in the same
+        // process-global aggregate.
+        let _guard = crate::tests::test_lock();
         reset_live();
         record_close("window", 10);
         record_close("detect", 5);

@@ -258,7 +258,7 @@ pub fn prometheus_snapshot() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::TEST_LOCK;
+    use crate::tests::test_lock;
 
     #[test]
     fn parse_recognizes_directives() {
@@ -280,7 +280,7 @@ mod tests {
 
     #[test]
     fn prometheus_rendering_has_help_type_and_cumulative_buckets() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _guard = test_lock();
         crate::testing::enable_memory_sink();
         let h = registry().histogram(
             "nazar_test_sink_seconds",
@@ -305,7 +305,7 @@ mod tests {
 
     #[test]
     fn jsonl_sink_writes_lines_to_disk() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _guard = test_lock();
         let dir = std::env::temp_dir().join("nazar-obs-sink-test");
         let path = dir.join("out.jsonl");
         crate::testing::enable_jsonl_sink(&path);

@@ -441,7 +441,7 @@ pub(crate) fn evaluate_at(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::TEST_LOCK;
+    use crate::tests::test_lock;
 
     #[test]
     fn parses_the_documented_grammar() {
@@ -524,7 +524,7 @@ mod tests {
 
     #[test]
     fn armed_rules_record_breaches_at_snapshots() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _guard = test_lock();
         crate::testing::enable_memory_sink();
         arm(parse_rules("nazar_test_slo_total <= 2").expect("rule"));
         static C: crate::LazyCounter =

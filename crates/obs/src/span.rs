@@ -261,11 +261,11 @@ fn render_node(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::TEST_LOCK;
+    use crate::tests::test_lock;
 
     #[test]
     fn disabled_spans_are_free_and_anonymous() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _guard = test_lock();
         crate::testing::disable();
         let s = span("nothing");
         assert!(s.id().is_none());
@@ -276,7 +276,7 @@ mod tests {
 
     #[test]
     fn nesting_follows_scope() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _guard = test_lock();
         crate::testing::enable_memory_sink();
         let _ = drain();
         {
@@ -299,7 +299,7 @@ mod tests {
 
     #[test]
     fn explicit_parent_attaches_cross_thread_spans() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _guard = test_lock();
         crate::testing::enable_memory_sink();
         let _ = drain();
         let parent = span("adapt");

@@ -85,39 +85,37 @@ fn keyed(snap: Vec<MetricSnapshot>) -> BTreeMap<SeriesKey, SnapshotValue> {
         .collect()
 }
 
-/// Starts (or restarts) a telemetry run: clears the ring and re-baselines
-/// the recorder on the registry's current values, so deltas and totals are
-/// scoped to this run even though the registry itself is cumulative.
-/// Ring capacity is re-read from `NAZAR_OBS_SERIES_CAP`.
+/// Starts (or restarts) a telemetry run: clears the ring and the
+/// run-scoped counts (snapshots, evictions, SLO breaches, live spans) and
+/// re-baselines the recorder on the registry's current values, so deltas
+/// and totals are scoped to this run even though the registry itself is
+/// cumulative. Ring capacity is re-read from `NAZAR_OBS_SERIES_CAP`.
 ///
-/// No-op while observability is disabled.
+/// The reset happens even while observability is disabled, so a disabled
+/// run never reports what an earlier run recorded; only the registry
+/// baseline is skipped then.
 pub fn begin_run() {
     begin_run_with_capacity(env_capacity());
 }
 
 /// [`begin_run`] with an explicit ring capacity (tests, embedders).
 pub fn begin_run_with_capacity(capacity: usize) {
-    if !crate::enabled() {
-        return;
+    let mut fresh = TelemetryRecorder {
+        capacity,
+        ..TelemetryRecorder::default()
+    };
+    if crate::enabled() {
+        let snap = registry().snapshot();
+        fresh.volatile_names = snap
+            .iter()
+            .filter(|m| m.volatile)
+            .map(|m| m.name.clone())
+            .collect();
+        fresh.baseline = keyed(snap);
+        fresh.prev = fresh.baseline.clone();
+        fresh.started = true;
     }
-    let snap = registry().snapshot();
-    let volatile_names = snap
-        .iter()
-        .filter(|m| m.volatile)
-        .map(|m| m.name.clone())
-        .collect();
-    let base = keyed(snap);
-    let mut rec = recorder().lock().expect("telemetry recorder poisoned");
-    rec.capacity = capacity;
-    rec.ring.clear();
-    rec.evicted = 0;
-    rec.seq = 0;
-    rec.last_t_us = 0;
-    rec.started = true;
-    rec.prev = base.clone();
-    rec.baseline = base;
-    rec.volatile_names = volatile_names;
-    drop(rec);
+    *recorder().lock().expect("telemetry recorder poisoned") = fresh;
     crate::slo::reset_breaches();
     crate::profile::reset_live();
 }
@@ -444,14 +442,14 @@ pub fn last_t_us() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::TEST_LOCK;
+    use crate::tests::test_lock;
 
     static C: crate::LazyCounter =
         crate::LazyCounter::new("nazar_test_telemetry_total", "telemetry unit counter", &[]);
 
     #[test]
     fn disabled_recorder_is_inert() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _guard = test_lock();
         crate::testing::disable();
         begin_run();
         snapshot(1, "window_close");
@@ -459,8 +457,22 @@ mod tests {
     }
 
     #[test]
+    fn begin_run_resets_run_state_while_disabled() {
+        let _guard = test_lock();
+        crate::testing::enable_memory_sink();
+        begin_run_with_capacity(1);
+        snapshot(1, "a");
+        snapshot(2, "b");
+        crate::testing::disable();
+        begin_run();
+        assert_eq!(snapshot_count(), 0);
+        assert_eq!(retained_count(), 0);
+        assert_eq!(evicted_count(), 0);
+    }
+
+    #[test]
     fn deltas_and_totals_are_run_scoped() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _guard = test_lock();
         crate::testing::enable_memory_sink();
         // Pollute the registry before the run: begin_run must cancel it.
         C.add(7);
@@ -486,7 +498,7 @@ mod tests {
 
     #[test]
     fn ring_retention_edge_cases() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _guard = test_lock();
         crate::testing::enable_memory_sink();
         // Capacity 0: every record evicted immediately.
         begin_run_with_capacity(0);

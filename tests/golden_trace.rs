@@ -17,11 +17,6 @@
 //! [`NetConfig::default`] so `NAZAR_NET_*` knobs cannot perturb it. The CI
 //! `test-matrix` job runs this under `NAZAR_NUM_THREADS=1` and `=8`, which
 //! makes the snapshot a cross-thread-count determinism check too.
-//!
-//! Since ISSUE 6 the fleet has two scheduling engines — the event-driven
-//! virtual-time scheduler ([`SchedulerMode::EventDriven`], the default) and
-//! the legacy lockstep path ([`SchedulerMode::Lockstep`]). Both run against
-//! the same snapshot here, which pins them bitwise equivalent end-to-end.
 
 use nazar::prelude::*;
 use nazar_net::NetConfig;
@@ -29,11 +24,11 @@ use nazar_store::{DriftStore, StoreConfig};
 
 const SNAPSHOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/run_summary.txt");
 
-fn run(scheduler: SchedulerMode) -> RunResult {
-    run_with_persist(scheduler, None)
+fn run() -> RunResult {
+    run_with_persist(None)
 }
 
-fn run_with_persist(scheduler: SchedulerMode, persist: Option<StoreConfig>) -> RunResult {
+fn run_with_persist(persist: Option<StoreConfig>) -> RunResult {
     let config = AnimalsConfig {
         classes: 6,
         dim: 24,
@@ -55,7 +50,6 @@ fn run_with_persist(scheduler: SchedulerMode, persist: Option<StoreConfig>) -> R
         min_samples_per_cause: 12,
         // Hermetic: ignore any NAZAR_NET_* knobs set in the environment.
         net: Some(NetConfig::default()),
-        scheduler,
         persist,
         ..CloudConfig::default()
     });
@@ -120,26 +114,13 @@ fn assert_matches_snapshot(got: &str, mode: &str) {
 
 #[test]
 fn golden_trace_matches_snapshot() {
-    let got = trace(&run(SchedulerMode::EventDriven));
+    let got = trace(&run());
     if std::env::var("NAZAR_BLESS").is_ok_and(|v| v == "1") {
         std::fs::write(SNAPSHOT, &got).expect("write blessed snapshot");
         eprintln!("blessed {SNAPSHOT}");
         return;
     }
-    assert_matches_snapshot(&got, "event-driven");
-}
-
-/// The legacy lockstep engine must reproduce the *same* snapshot: the two
-/// scheduling engines are pinned equivalent, not merely self-consistent.
-#[test]
-fn golden_trace_lockstep_matches_same_snapshot() {
-    if std::env::var("NAZAR_BLESS").is_ok_and(|v| v == "1") {
-        // `golden_trace_matches_snapshot` owns blessing; racing two writers
-        // under `cargo test` would be order-dependent.
-        return;
-    }
-    let got = trace(&run(SchedulerMode::Lockstep));
-    assert_matches_snapshot(&got, "lockstep");
+    assert_matches_snapshot(&got, "in-memory");
 }
 
 /// Durable drift-log persistence (ISSUE 8) must be invisible to the run:
@@ -155,7 +136,7 @@ fn golden_trace_with_persistence_matches_same_snapshot() {
     let _ = std::fs::remove_dir_all(&dir);
     let persist = StoreConfig::at(dir.to_string_lossy().into_owned());
 
-    let result = run_with_persist(SchedulerMode::EventDriven, Some(persist.clone()));
+    let result = run_with_persist(Some(persist.clone()));
     assert_matches_snapshot(&trace(&result), "persisted");
     // Mid-run reopen: the store holds exactly the rows the run ingested.
     let store = DriftStore::open_config(&nazar_device::LOG_SCHEMA, persist.clone())
@@ -171,7 +152,7 @@ fn golden_trace_with_persistence_matches_same_snapshot() {
 
     // Second run against the pre-populated store: history accumulates,
     // results do not move.
-    let result = run_with_persist(SchedulerMode::EventDriven, Some(persist.clone()));
+    let result = run_with_persist(Some(persist.clone()));
     assert_matches_snapshot(&trace(&result), "persisted-reopen");
     let store = DriftStore::open_config(&nazar_device::LOG_SCHEMA, persist).expect("reopen again");
     assert_eq!(store.num_rows(), 2 * result.log_rows);

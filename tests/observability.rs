@@ -11,18 +11,19 @@
 //! 3. counters and histograms stay exact under the workspace's own
 //!    [`nazar_tensor::parallel`] fan-out at 1–8 threads.
 //!
-//! Observability state is process-global, so every test takes `OBS_LOCK`.
+//! Observability state is process-global, so every test takes `OBS_LOCK`
+//! (poison-tolerant: one failing test must not fail the others).
 
 use nazar_cloud::experiment::{run_strategy, train_base_model};
 use nazar_cloud::{CloudConfig, RunResult, Strategy};
 use nazar_data::{AnimalsConfig, AnimalsDataset};
-use nazar_device::{DeviceConfig, Fleet};
+use nazar_device::{DeviceConfig, FleetSim};
 use nazar_nn::{MlpResNet, ModelArch};
 use nazar_tensor::parallel::{par_map, par_row_bands};
 use nazar_tensor::Tensor;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Serializes tests that toggle the global observability state.
@@ -60,7 +61,7 @@ static PROBE_HIST: nazar_obs::LazyHistogram = nazar_obs::LazyHistogram::new(
 
 #[test]
 fn disabled_instrumentation_costs_nanoseconds_per_call() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     nazar_obs::testing::disable();
     assert!(!nazar_obs::enabled());
 
@@ -88,12 +89,11 @@ fn disabled_instrumentation_costs_nanoseconds_per_call() {
 
 #[test]
 fn matmul_and_process_window_time_the_same_with_obs_on_and_off() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (dataset, model) = small_world();
     let mut rng = SmallRng::seed_from_u64(3);
     let a = Tensor::randn(&mut rng, &[256, 256], 0.0, 1.0);
     let b = Tensor::randn(&mut rng, &[256, 256], 0.0, 1.0);
-    let fleet = Fleet::from_streams(&dataset.streams, model, &DeviceConfig::default());
 
     let time_matmul = || {
         let start = Instant::now();
@@ -101,7 +101,7 @@ fn matmul_and_process_window_time_the_same_with_obs_on_and_off() {
         start.elapsed().as_secs_f64()
     };
     let time_window = || {
-        let mut fleet = fleet.clone();
+        let mut fleet = FleetSim::from_streams(&dataset.streams, model, &DeviceConfig::default());
         let mut rng = SmallRng::seed_from_u64(11);
         let start = Instant::now();
         let _ = std::hint::black_box(fleet.process_window(&dataset.streams, 0, 4, &mut rng));
@@ -151,7 +151,7 @@ fn output_fingerprint(r: &RunResult) -> String {
 
 #[test]
 fn experiment_outputs_are_bitwise_identical_with_obs_on_and_off() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (dataset, model) = small_world();
     let config = CloudConfig {
         windows: 3,
@@ -174,7 +174,7 @@ fn experiment_outputs_are_bitwise_identical_with_obs_on_and_off() {
 
 #[test]
 fn concurrent_counter_and_histogram_updates_are_exact() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     nazar_obs::testing::enable_memory_sink();
     let registry = nazar_obs::registry();
 

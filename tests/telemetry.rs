@@ -14,7 +14,8 @@
 //! 4. with observability disabled the recorder is inert: no snapshots, no
 //!    series, and experiment outputs untouched.
 //!
-//! Observability state is process-global, so every test takes `OBS_LOCK`.
+//! Observability state is process-global, so every test takes `OBS_LOCK`
+//! (poison-tolerant: one failing test must not fail the others).
 
 use nazar_data::{AnimalsConfig, AnimalsDataset};
 use nazar_device::{DeviceConfig, FleetSim};
@@ -23,7 +24,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::Value;
 use std::io::{Read, Write};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Serializes tests that toggle the global observability state.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
@@ -70,7 +71,7 @@ fn get<'v>(entries: &'v [(String, Value)], key: &str) -> &'v Value {
 
 #[test]
 fn series_is_bitwise_identical_across_thread_counts() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     nazar_obs::testing::enable_memory_sink();
     let one = run_series(1, 3);
     let eight = run_series(8, 3);
@@ -101,7 +102,7 @@ fn series_is_bitwise_identical_across_thread_counts() {
 
 #[test]
 fn snapshot_deltas_sum_to_summary_totals() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     nazar_obs::testing::enable_memory_sink();
     let series = run_series(2, 3);
     nazar_obs::testing::disable();
@@ -212,7 +213,7 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
 
 #[test]
 fn exporter_serves_well_formed_responses_mid_run() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     nazar_obs::testing::enable_memory_sink();
     let server = nazar_obs::http::start("127.0.0.1:0").expect("bind exporter");
     let addr = server.local_addr();
@@ -269,7 +270,7 @@ fn exporter_serves_well_formed_responses_mid_run() {
 
 #[test]
 fn disabled_recorder_takes_no_snapshots_and_changes_nothing() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     nazar_obs::testing::disable();
 
     let (data, model) = small_world();
