@@ -130,6 +130,22 @@ fn bench_inference(c: &mut Criterion) {
     group.bench_function("forward_resnet50_analog_b1", |bencher| {
         bencher.iter(|| black_box(model.logits(&row, Mode::Eval)))
     });
+    // The same eval forward recorded on an autograd tape (what `logits`
+    // ran before it went tape-free), beside the rows above.
+    let tape_logits = |model: &mut MlpResNet, x: &Tensor| {
+        let tape = Tape::new();
+        let xv = tape.leaf(x.clone());
+        model
+            .forward_with_features(&tape, &xv, Mode::Eval)
+            .1
+            .value()
+    };
+    group.bench_function("forward_resnet50_analog_b1_tape", |bencher| {
+        bencher.iter(|| black_box(tape_logits(&mut model, &row)))
+    });
+    group.bench_function("forward_resnet50_analog_b160_tape", |bencher| {
+        bencher.iter(|| black_box(tape_logits(&mut model, &x)))
+    });
     // The i8-quantized detection mirror on the same model/input.
     let quant = QuantizedMlp::from_model(&model);
     group.bench_function("forward_resnet50_analog_b1_i8", |bencher| {

@@ -186,10 +186,8 @@ impl Device {
     pub fn process<R: Rng + ?Sized>(&mut self, item: &StreamItem, rng: &mut R) -> DeviceOutput {
         let attrs = item_attributes(item);
         self.activate(&attrs);
-        let (prediction, msp) = match &self.quant_model {
-            Some(q) => forward_item_quant(q, item),
-            None => forward_item(&mut self.active_model, item),
-        };
+        let (prediction, msp) =
+            forward_items(&self.active_model, self.quant_model.as_ref(), &[item], 0)[0];
         self.seq += 1;
         let drift = self.detector.observe(msp);
         let (entry, sample) =
@@ -204,30 +202,49 @@ impl Device {
     }
 }
 
-/// One forward pass for one stream item: `(prediction, MSP)`. One pass
-/// serves both the prediction and the MSP detector — the reason the paper
-/// picks this detector ("the logit scores are computed by the inference
-/// anyways"). Shared by [`Device::process`] and the event-driven scheduler
-/// so the two stay bitwise identical.
-pub(crate) fn forward_item(model: &mut MlpResNet, item: &StreamItem) -> (usize, f32) {
-    let x = Tensor::from_vec(item.features.clone(), &[1, item.features.len()])
-        .expect("one feature row");
-    let logits = model.logits(&x, nazar_nn::Mode::Eval);
-    let prediction = logits.argmax_axis1().expect("logit row")[0];
-    let msp = nazar_detect::msp_of_logits(&logits)[0];
-    (prediction, msp)
-}
-
-/// [`forward_item`] on the i8-quantized mirror ([`QuantMode::I8`]): same
-/// `(prediction, MSP)` contract, exact-integer matmuls inside, so the
-/// result is thread-width invariant by construction.
-pub(crate) fn forward_item_quant(quant: &QuantizedMlp, item: &StreamItem) -> (usize, f32) {
-    let x = Tensor::from_vec(item.features.clone(), &[1, item.features.len()])
-        .expect("one feature row");
-    let logits = quant.logits(&x);
-    let prediction = logits.argmax_axis1().expect("logit row")[0];
-    let msp = nazar_detect::msp_of_logits(&logits)[0];
-    (prediction, msp)
+/// One forward pass over a block of stream items: `(prediction, MSP)` per
+/// item, in order. One pass serves both the prediction and the MSP
+/// detector — the reason the paper picks this detector ("the logit scores
+/// are computed by the inference anyways"). Shared by [`Device::process`]
+/// (one item per call) and the event-driven scheduler (blocks of
+/// same-version arrivals), so the two stay bitwise identical: the f32
+/// eval forward, the argmax and the softmax are all per row.
+///
+/// `quant` routes the pass through the i8 mirror instead. That mirror
+/// quantizes activations per tensor, so a row's result there depends on
+/// its block; callers pass one item per call under [`QuantMode::I8`].
+/// `threads` is the matmul worker count (`0` = automatic).
+///
+/// # Panics
+///
+/// Panics if the items' feature widths differ from each other or from the
+/// model's input width.
+pub(crate) fn forward_items(
+    model: &MlpResNet,
+    quant: Option<&QuantizedMlp>,
+    items: &[&StreamItem],
+    threads: usize,
+) -> Vec<(usize, f32)> {
+    let d = items.first().map_or(0, |it| it.features.len());
+    let mut rows = Vec::with_capacity(items.len() * d);
+    for it in items {
+        assert_eq!(
+            it.features.len(),
+            d,
+            "stream items of one block share a width"
+        );
+        rows.extend_from_slice(&it.features);
+    }
+    let x = Tensor::from_vec(rows, &[items.len(), d]).expect("feature rows");
+    let logits = match quant {
+        Some(q) => q.logits_with_threads(&x, threads),
+        None => model.eval_logits_with_threads(&x, threads),
+    };
+    let predictions = logits.argmax_axis1().expect("logit rows");
+    predictions
+        .into_iter()
+        .zip(nazar_detect::msp_of_logits(&logits))
+        .collect()
 }
 
 /// The emission half of the on-device loop: drift-log entry and the sampled

@@ -26,7 +26,7 @@
 //! bit-for-bit to a sequential reference of whole [`crate::Device`]s that
 //! follows the seeding contract on [`FleetSim::process_window_parts`].
 
-use crate::device::{emit_outputs, forward_item, forward_item_quant, DeviceConfig, DeviceOutput};
+use crate::device::{emit_outputs, forward_items, DeviceConfig, DeviceOutput};
 use crate::item_attributes;
 use crate::state::{DevicePools, FleetState};
 use crate::window::{record_stats, tally, WindowOutput};
@@ -52,6 +52,11 @@ const FLEET_DEVICE: u32 = u32::MAX;
 
 /// Sentinel for "base model" in [`EventKind::Detect::version`].
 const BASE_VERSION: u32 = u32::MAX;
+
+/// Most rows one f32 forward call takes. A virtual day's same-version
+/// arrivals run in blocks of this many; larger blocks stop paying off once
+/// the weight packing is amortized and only grow the activation buffers.
+const FORWARD_BLOCK: usize = 256;
 
 static EV_ARRIVAL: LazyCounter = LazyCounter::new(
     "nazar_fleet_events_total",
@@ -105,6 +110,18 @@ static BATCH_SECONDS: LazyHistogram = LazyHistogram::new(
     "Wall-clock seconds spent draining one parallel batch",
     &[],
     nazar_obs::duration_buckets,
+);
+static FORWARD_ROWS_F32: LazyHistogram = LazyHistogram::new_volatile(
+    "nazar_fleet_forward_rows",
+    "Rows per device forward call, by numeric mode",
+    &[("quant", "f32")],
+    nazar_obs::pow2_buckets,
+);
+static FORWARD_ROWS_I8: LazyHistogram = LazyHistogram::new_volatile(
+    "nazar_fleet_forward_rows",
+    "Rows per device forward call, by numeric mode",
+    &[("quant", "i8")],
+    nazar_obs::pow2_buckets,
 );
 static PEAK_RSS: LazyGauge = LazyGauge::new_volatile(
     "nazar_fleet_peak_rss_bytes",
@@ -860,7 +877,27 @@ impl FleetSim {
     }
 }
 
+/// One arrival of a batch: its item and the version selection made for it.
+struct Arrival {
+    item: u32,
+    /// Arena id of the selected version (`None` = base model).
+    version: Option<u32>,
+    /// Device-local id of the selected version ([`BASE_VERSION`] = base).
+    local: u32,
+}
+
 /// Runs one chunk of device jobs on a worker thread.
+///
+/// Three passes. First, select a version for every arrival, in job and pop
+/// order; pools cannot change inside a batch (deploy receipts pop between
+/// batches), so selection needs no forward pass first. Second, group the
+/// arrivals by arena version, apply each group's patch once, and run one
+/// forward per block of rows, scattering `(prediction, MSP)` back by
+/// arrival. Third, replay each job's events in pop order: arrivals emit
+/// their detect events, detects drive the detector and the RNG exactly as
+/// before. Each row's verdict is independent of its block (see
+/// [`MlpResNet::eval_logits_with_threads`]), so the grouping — which
+/// depends on chunk boundaries and thus on the thread count — never shows.
 fn run_chunk(chunk: Chunk, ctx: &BatchCtx<'_>) -> (usize, Vec<JobResult>, Scratch) {
     let mut scratch = chunk.scratch.unwrap_or_else(|| Scratch {
         model: ctx.base_model.clone(),
@@ -871,9 +908,28 @@ fn run_chunk(chunk: Chunk, ctx: &BatchCtx<'_>) -> (usize, Vec<JobResult>, Scratc
         applied: None,
         epoch: ctx.epoch,
     });
+
+    let mut arrivals: Vec<Arrival> = Vec::new();
+    for job in &chunk.jobs {
+        for ev in &job.events {
+            if let EventKind::SampleArrival { item } = ev.kind {
+                let attrs = item_attributes(ctx.items[item as usize]);
+                let sel = ctx.pools.select(ctx.arena, job.device as usize, &attrs);
+                arrivals.push(Arrival {
+                    item,
+                    version: sel.map(|(_, vid)| vid),
+                    local: sel.map_or(BASE_VERSION, |(local_id, _)| {
+                        u32::try_from(local_id).expect("device-local version ids fit u32")
+                    }),
+                });
+            }
+        }
+    }
+    let verdicts = forward_by_version(&mut scratch, &arrivals, ctx);
+
+    let mut next_arrival = 0;
     let mut results = Vec::with_capacity(chunk.jobs.len());
     for job in chunk.jobs {
-        let d = job.device as usize;
         let mut res = JobResult {
             device: job.device,
             seq: job.seq,
@@ -886,14 +942,10 @@ fn run_chunk(chunk: Chunk, ctx: &BatchCtx<'_>) -> (usize, Vec<JobResult>, Scratc
         for ev in &job.events {
             match ev.kind {
                 EventKind::SampleArrival { item } => {
-                    let it = ctx.items[item as usize];
-                    let attrs = item_attributes(it);
-                    let sel = ctx.pools.select(ctx.arena, d, &attrs);
-                    scratch.ensure(sel.map(|(_, vid)| vid), ctx.arena, ctx.base_patch);
-                    let (prediction, msp) = match &scratch.quant {
-                        Some(q) => forward_item_quant(q, it),
-                        None => forward_item(&mut scratch.model, it),
-                    };
+                    let arrival = &arrivals[next_arrival];
+                    let (prediction, msp) = verdicts[next_arrival];
+                    next_arrival += 1;
+                    debug_assert_eq!(arrival.item, item);
                     res.detects.push(Event {
                         at: ev.at + 1,
                         device: ev.device,
@@ -902,11 +954,7 @@ fn run_chunk(chunk: Chunk, ctx: &BatchCtx<'_>) -> (usize, Vec<JobResult>, Scratc
                             item,
                             prediction: prediction as u32,
                             msp,
-                            version: match sel {
-                                Some((local_id, _)) => u32::try_from(local_id)
-                                    .expect("device-local version ids fit u32"),
-                                None => BASE_VERSION,
-                            },
+                            version: arrival.local,
                         },
                     });
                 }
@@ -950,6 +998,41 @@ fn run_chunk(chunk: Chunk, ctx: &BatchCtx<'_>) -> (usize, Vec<JobResult>, Scratc
         results.push(res);
     }
     (chunk.index, results, scratch)
+}
+
+/// `(prediction, MSP)` for every arrival, by arrival index: arrivals are
+/// grouped by selected version (base first, then ascending arena id, each
+/// group in arrival order), each group's patch is applied once, and each
+/// group runs in forward blocks of up to [`FORWARD_BLOCK`] rows — one row
+/// under [`QuantMode::I8`], whose per-tensor activation scales would
+/// otherwise couple the rows of a block.
+fn forward_by_version(
+    scratch: &mut Scratch,
+    arrivals: &[Arrival],
+    ctx: &BatchCtx<'_>,
+) -> Vec<(usize, f32)> {
+    let (block, rows_metric) = match ctx.config.quant {
+        QuantMode::F32 => (FORWARD_BLOCK, &FORWARD_ROWS_F32),
+        QuantMode::I8 => (1, &FORWARD_ROWS_I8),
+    };
+    let mut order: Vec<usize> = (0..arrivals.len()).collect();
+    order.sort_by_key(|&a| arrivals[a].version);
+    let mut verdicts = vec![(0, 0.0); arrivals.len()];
+    let mut items: Vec<&StreamItem> = Vec::with_capacity(block.min(order.len()));
+    for group in order.chunk_by(|&a, &b| arrivals[a].version == arrivals[b].version) {
+        scratch.ensure(arrivals[group[0]].version, ctx.arena, ctx.base_patch);
+        for rows in group.chunks(block) {
+            items.clear();
+            items.extend(rows.iter().map(|&a| ctx.items[arrivals[a].item as usize]));
+            // One matmul thread: the chunk fan-out already owns the cores.
+            let out = forward_items(&scratch.model, scratch.quant.as_ref(), &items, 1);
+            rows_metric.observe(rows.len() as f64);
+            for (&a, verdict) in rows.iter().zip(out) {
+                verdicts[a] = verdict;
+            }
+        }
+    }
+    verdicts
 }
 
 #[cfg(test)]

@@ -10,8 +10,8 @@
 //! event queue, no struct-of-arrays state, no version arena and no worker
 //! pool, so agreement pins all of those — including how `FleetSim` checks
 //! the stateful zoo detectors out into batch jobs and merges them back —
-//! for every [`DetectorKind`], f32 and i8 inference, and no, broadcast or
-//! location-targeted deployments between windows.
+//! for every [`DetectorKind`], f32 and i8 inference, and no, broadcast,
+//! location-targeted or mixed multi-version deployments between windows.
 
 use nazar_data::{LocationStream, Severity, SimDate, StreamItem, Weather};
 use nazar_detect::DetectorKind;
@@ -94,6 +94,14 @@ fn donor_patch(seed: u64) -> BnPatch {
     BnPatch::extract(&mut donor)
 }
 
+/// Distinct BN patches for the versions of one deployment (version `k`
+/// gets patch `k`), so every version's verdicts differ from the others'.
+fn donor_patches(seed: u64) -> Vec<BnPatch> {
+    (0..3u64)
+        .map(|k| donor_patch(seed.wrapping_add(k * 7919)))
+        .collect()
+}
+
 /// The deployment that lands between the two windows.
 #[derive(Debug, Clone, Copy)]
 enum Deploy {
@@ -102,37 +110,68 @@ enum Deploy {
     /// Targeted at the first stream's location, through
     /// [`FleetSim::deploy_targeted`].
     TargetedByLocation,
+    /// Two location-targeted versions (snow at the first location, rain at
+    /// the second) plus a broadcast fog version. A virtual day's batch then
+    /// spans up to three selected versions plus the base model, so the
+    /// scheduler's grouping by version is exercised across devices and
+    /// within one device's day.
+    Mixed,
 }
 
-const DEPLOYS: [Deploy; 3] = [Deploy::None, Deploy::Broadcast, Deploy::TargetedByLocation];
+const DEPLOYS: [Deploy; 4] = [
+    Deploy::None,
+    Deploy::Broadcast,
+    Deploy::TargetedByLocation,
+    Deploy::Mixed,
+];
 
-fn deploy_meta(deploy: Deploy) -> Option<VersionMeta> {
+/// The versions of `deploy`, in install order, each with whether it goes
+/// out through [`FleetSim::deploy_targeted`] (else [`FleetSim::deploy`]).
+fn deploy_versions(deploy: Deploy) -> Vec<(VersionMeta, bool)> {
+    let broadcast = || {
+        (
+            VersionMeta::new(vec![Attribute::new("weather", "fog")], 1.5),
+            false,
+        )
+    };
+    let targeted = |device: usize, weather: &str, risk: f64| {
+        (
+            VersionMeta::new(
+                vec![
+                    Attribute::new("weather", weather),
+                    Attribute::new("location", location_of(device)),
+                ],
+                risk,
+            ),
+            true,
+        )
+    };
     match deploy {
-        Deploy::None => None,
-        Deploy::Broadcast => Some(VersionMeta::new(
-            vec![Attribute::new("weather", "fog")],
-            1.5,
-        )),
-        Deploy::TargetedByLocation => Some(VersionMeta::new(
-            vec![
-                Attribute::new("weather", "snow"),
-                Attribute::new("location", location_of(0)),
-            ],
-            2.0,
-        )),
+        Deploy::None => Vec::new(),
+        Deploy::Broadcast => vec![broadcast()],
+        Deploy::TargetedByLocation => vec![targeted(0, "snow", 2.0)],
+        Deploy::Mixed => vec![
+            targeted(0, "snow", 2.0),
+            targeted(1, "rain", 2.5),
+            broadcast(),
+        ],
     }
 }
 
-/// Applies `deploy` to the fleet; returns how many devices received it.
-fn deploy_to(sim: &mut FleetSim, deploy: Deploy, patch: &BnPatch) -> usize {
-    match (deploy, deploy_meta(deploy)) {
-        (Deploy::Broadcast, Some(meta)) => {
-            sim.deploy(&meta, patch);
-            sim.len()
-        }
-        (Deploy::TargetedByLocation, Some(meta)) => sim.deploy_targeted(&meta, patch),
-        _ => 0,
-    }
+/// Applies `deploy` to the fleet; returns how many installs it made.
+fn deploy_to(sim: &mut FleetSim, deploy: Deploy, patches: &[BnPatch]) -> usize {
+    deploy_versions(deploy)
+        .into_iter()
+        .zip(patches)
+        .map(|((meta, targeted), patch)| {
+            if targeted {
+                sim.deploy_targeted(&meta, patch)
+            } else {
+                sim.deploy(&meta, patch);
+                sim.len()
+            }
+        })
+        .sum()
 }
 
 /// The sequential reference fleet: whole [`Device`]s keyed by id.
@@ -182,19 +221,20 @@ impl Reference {
         parts
     }
 
-    /// Installs on every device whose location and id match the version's
-    /// `location`/`device_id` attributes (all devices when it names none).
-    fn deploy(&mut self, deploy: Deploy, patch: &BnPatch) -> usize {
-        let Some(meta) = deploy_meta(deploy) else {
-            return 0;
-        };
-        let matches =
-            |key: &str, value: &str| meta.attrs.iter().all(|a| a.key != key || a.value == value);
+    /// Installs each version of `deploy` on every device whose location
+    /// and id match the version's `location`/`device_id` attributes (all
+    /// devices when it names none); returns how many installs it made.
+    fn deploy(&mut self, deploy: Deploy, patches: &[BnPatch]) -> usize {
         let mut installed = 0;
-        for device in self.devices.values_mut() {
-            if matches("location", device.location()) && matches("device_id", device.id()) {
-                device.install(meta.clone(), patch.clone());
-                installed += 1;
+        for ((meta, _), patch) in deploy_versions(deploy).into_iter().zip(patches) {
+            let matches = |key: &str, value: &str| {
+                meta.attrs.iter().all(|a| a.key != key || a.value == value)
+            };
+            for device in self.devices.values_mut() {
+                if matches("location", device.location()) && matches("device_id", device.id()) {
+                    device.install(meta.clone(), patch.clone());
+                    installed += 1;
+                }
             }
         }
         installed
@@ -239,7 +279,7 @@ fn check_against_reference(
 ) -> Result<(), TestCaseError> {
     let streams = streams_from(raw);
     let model = base_model();
-    let patch = donor_patch(seed ^ 1);
+    let patches = donor_patches(seed ^ 1);
     for detector in DetectorKind::ALL {
         for deploy in DEPLOYS {
             let config = DeviceConfig {
@@ -256,7 +296,11 @@ fn check_against_reference(
             let mut rng_sim = SmallRng::seed_from_u64(seed);
             let mut rng_ref = SmallRng::seed_from_u64(seed);
             for w in 0..WINDOWS {
-                let got = sim.process_window_parts(&streams, w, WINDOWS, &mut rng_sim);
+                // One worker: every device's arrivals of a day share one
+                // batch, so a day's forward groups mix devices and versions
+                // on any host.
+                let got =
+                    sim.process_window_parts_with_threads(&streams, w, WINDOWS, &mut rng_sim, 1);
                 let want = reference.process_window_parts(&streams, w, &mut rng_ref);
                 prop_assert!(
                     got == want,
@@ -268,8 +312,8 @@ fn check_against_reference(
                 );
                 if w == 0 {
                     prop_assert_eq!(
-                        deploy_to(&mut sim, deploy, &patch),
-                        reference.deploy(deploy, &patch)
+                        deploy_to(&mut sim, deploy, &patches),
+                        reference.deploy(deploy, &patches)
                     );
                 }
                 prop_assert_eq!(sim.max_versions(), reference.max_versions());
@@ -312,7 +356,7 @@ proptest! {
                     &streams, w, WINDOWS, &mut rng, workers,
                 ));
                 if w == 0 {
-                    deploy_to(&mut sim, DEPLOYS[deploy], &donor_patch(seed));
+                    deploy_to(&mut sim, DEPLOYS[deploy], &donor_patches(seed));
                 }
             }
             (sim.take_trace(), all, sim.clock_us())

@@ -2,7 +2,7 @@
 
 use crate::init::Init;
 use crate::param::Param;
-use nazar_tensor::{Gradients, Tape, Tensor, Var};
+use nazar_tensor::{kernels, Gradients, SimdTier, Tape, Tensor, Var, Workspace};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -86,6 +86,33 @@ impl Linear {
     /// Output width.
     pub fn fan_out(&self) -> usize {
         self.weight.value().dims()[1]
+    }
+
+    /// Tape-free `out = x W + b` for row-major `x: [n, fan_in]`: the same
+    /// matmul kernel and the same add order as [`Layer::forward`], so the
+    /// result is bitwise identical. `threads == 0` uses the kernel's
+    /// automatic worker policy.
+    pub(crate) fn eval_into(
+        &self,
+        x: &[f32],
+        n: usize,
+        out: &mut [f32],
+        ws: &mut Workspace,
+        threads: usize,
+    ) {
+        let (k, m) = (self.fan_in(), self.fan_out());
+        let w = self.weight.value().data();
+        if threads == 0 {
+            kernels::matmul_into(x, w, n, k, m, out, ws);
+        } else {
+            kernels::matmul_into_threads(x, w, n, k, m, out, ws, threads);
+        }
+        let bias = self.bias.value().data();
+        for row in out.chunks_exact_mut(m) {
+            for (o, &b) in row.iter_mut().zip(bias) {
+                *o += b;
+            }
+        }
     }
 }
 
@@ -182,6 +209,27 @@ impl BatchNorm1d {
     pub fn set_affine_trainable(&mut self, trainable: bool) {
         self.gamma.set_trainable(trainable);
         self.beta.set_trainable(trainable);
+    }
+
+    /// Tape-free eval-mode normalization of row-major `x: [n, width]`
+    /// into `out`, with `std = sqrt(running_var + eps)` rounded once per
+    /// feature exactly as the tape's eval branch computes it.
+    pub(crate) fn eval_into(&self, x: &[f32], out: &mut [f32], ws: &mut Workspace, tier: SimdTier) {
+        let mut std = ws.take_filled_later(self.width());
+        for (s, &v) in std.iter_mut().zip(self.running_var.data()) {
+            *s = (v + self.eps).sqrt();
+        }
+        kernels::bn_eval_into(
+            x,
+            self.width(),
+            self.running_mean.data(),
+            &std,
+            self.gamma.value().data(),
+            self.beta.value().data(),
+            out,
+            tier,
+        );
+        ws.recycle(std);
     }
 }
 

@@ -4,7 +4,7 @@ use crate::error::{NnError, Result};
 use crate::init::Init;
 use crate::layers::{BatchNorm1d, Layer, Linear, Mode};
 use crate::param::Param;
-use nazar_tensor::{Tape, Tensor, Var};
+use nazar_tensor::{simd, Tape, Tensor, Var, Workspace};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -234,12 +234,74 @@ impl MlpResNet {
 
     /// Convenience inference: logits for a batch, in the given mode.
     ///
-    /// Most callers want [`Mode::Eval`]; adaptation passes [`Mode::Adapt`].
+    /// Most callers want [`Mode::Eval`], which runs the tape-free
+    /// [`MlpResNet::eval_logits_with_threads`]; adaptation passes
+    /// [`Mode::Adapt`].
     pub fn logits(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        if mode == Mode::Eval {
+            return self.eval_logits_with_threads(x, 0);
+        }
         let tape = Tape::new();
         let xv = tape.leaf(x.clone());
         let (_, logits) = self.forward_with_features(&tape, &xv, mode);
         logits.value()
+    }
+
+    /// Eval-mode logits for a row-major `[n, input_dim]` batch, computed
+    /// straight from the parameter tensors: no [`Tape`], no parameter
+    /// copies, three activation buffers from the thread's [`Workspace`].
+    ///
+    /// Bitwise identical to the `Mode::Eval` tape forward, because every
+    /// stage runs the same kernel in the same order: the matmul, then the
+    /// bias add, `(x - mean) / std * gamma + beta` with
+    /// `std = sqrt(running_var + eps)`, ReLU as `max(0.0)`, and the
+    /// residual add. The matmul accumulates each output element over its
+    /// inner dimension in a fixed order at any row count, and every other
+    /// stage is per row, so row `r` of the result does not depend on the
+    /// other rows of the batch. `threads` is the matmul worker count
+    /// (`0` = the kernel's automatic policy); it only moves row-band
+    /// boundaries, never a result.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `x` is a matrix with `input_dim` columns.
+    pub fn eval_logits_with_threads(&self, x: &Tensor, threads: usize) -> Tensor {
+        let dims = x.dims();
+        assert_eq!(dims.len(), 2, "eval logits need a [n, d] batch");
+        assert_eq!(dims[1], self.arch.input_dim, "eval logits input width");
+        let n = dims[0];
+        let width = self.arch.hidden;
+        let tier = simd::env_tier();
+        let mut logits = Tensor::zeros(&[n, self.arch.num_classes]);
+        Workspace::with_thread_local(|ws| {
+            let mut h = ws.take_filled_later(n * width);
+            let mut t1 = ws.take_filled_later(n * width);
+            let mut t2 = ws.take_filled_later(n * width);
+
+            // Stem: linear → BN → ReLU.
+            self.stem.eval_into(x.data(), n, &mut t1, ws, threads);
+            self.stem_bn.eval_into(&t1, &mut h, ws, tier);
+            relu_assign(&mut h);
+
+            for block in &self.blocks {
+                // lin1 → bn1 → ReLU → lin2 → bn2 → (+ skip) → ReLU.
+                block.lin1.eval_into(&h, n, &mut t1, ws, threads);
+                block.bn1.eval_into(&t1, &mut t2, ws, tier);
+                relu_assign(&mut t2);
+                block.lin2.eval_into(&t2, n, &mut t1, ws, threads);
+                block.bn2.eval_into(&t1, &mut t2, ws, tier);
+                // `bn2 + skip`, in the tape's operand order.
+                for (hv, &tv) in h.iter_mut().zip(&t2) {
+                    *hv = (tv + *hv).max(0.0);
+                }
+            }
+
+            self.head.eval_into(&h, n, logits.data_mut(), ws, threads);
+            for buf in [h, t1, t2] {
+                ws.recycle(buf);
+            }
+        });
+        logits
     }
 
     /// Penultimate-layer features for a batch (eval mode).
@@ -297,6 +359,14 @@ impl MlpResNet {
     /// `model.set_bn_affine_trainable(true)` is the TENT configuration.
     pub fn set_bn_affine_trainable(&mut self, trainable: bool) {
         self.visit_bn(&mut |bn| bn.set_affine_trainable(trainable));
+    }
+}
+
+/// ReLU in place, `max(0.0)` per element (NaN maps to 0, as `f32::max`
+/// does) — shared by the tape-free and the quantized eval forwards.
+pub(crate) fn relu_assign(x: &mut [f32]) {
+    for v in x {
+        *v = v.max(0.0);
     }
 }
 

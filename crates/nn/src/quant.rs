@@ -23,8 +23,10 @@
 //!
 //! [`QuantMode`] is the configuration knob the fleet simulator threads
 //! through `DeviceConfig`: `F32` keeps the reference path, `I8` routes
-//! `Device::forward_item` through this mirror.
+//! the device forward pass through this mirror, one row per call
+//! (activation scales are per tensor, so batching would couple rows).
 
+use crate::model::relu_assign;
 use crate::{BatchNorm1d, BnPatch, Linear, MlpResNet, NnError, Result};
 use nazar_tensor::{kernels, simd, Tensor};
 use serde::{Deserialize, Serialize};
@@ -330,13 +332,13 @@ impl QuantizedMlp {
         // Stem: linear → BN → ReLU.
         self.forward_linear(&self.stem, x.data(), n, &mut t1, threads);
         self.stem_bn.eval_into(&t1, &mut h, tier);
-        relu_inplace(&mut h);
+        relu_assign(&mut h);
 
         for block in &self.blocks {
             // lin1 → bn1 → relu → lin2 → bn2 → (+ skip) → relu.
             self.forward_linear(&block.lin1, &h, n, &mut t1, threads);
             block.bn1.eval_into(&t1, &mut t2, tier);
-            relu_inplace(&mut t2);
+            relu_assign(&mut t2);
             self.forward_linear(&block.lin2, &t2, n, &mut t1, threads);
             block.bn2.eval_into(&t1, &mut t2, tier);
             for (hv, &tv) in h.iter_mut().zip(&t2) {
@@ -358,12 +360,6 @@ impl QuantizedMlp {
         threads: usize,
     ) {
         lin.forward_into(x, n, out, threads);
-    }
-}
-
-fn relu_inplace(x: &mut [f32]) {
-    for v in x {
-        *v = v.max(0.0);
     }
 }
 
